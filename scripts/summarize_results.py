@@ -31,7 +31,6 @@ EXPERIMENT_ORDER = [
     "sketch_micro",
     "lake_service",
     "embed_engine",
-    "lazy_fusion",
     "index_backends",
     "sharded_lake",
     "discovery_api",

@@ -24,13 +24,6 @@ This engine restructures the path around three ideas:
 3. **Length bucketing.** ``embed_corpus`` sorts tables by encoded length
    before chunking, so each batch is near-uniform and wastes minimal
    padding; results are returned in the caller's order regardless.
-4. **Fused inference kernels.** Every forward here runs under ``no_grad``,
-   which (with ``$REPRO_NN_LAZY`` on, the default) puts the trunk in the
-   lazy, fusing evaluation mode of :mod:`repro.nn.lazy`: elementwise
-   chains run as cached fused kernels keyed by shape bucket — the same
-   buckets this engine's length bucketing produces — so every forward
-   after the first hits the kernel cache. ``fusion_stats`` surfaces the
-   counters.
 
 ``forward_calls`` counts trunk invocations: embedding N tables at batch
 size B performs exactly ``ceil(N / B)`` forwards.
@@ -53,7 +46,6 @@ import numpy as np
 from repro import obs
 from repro.core.inputs import EncodedTable, InputEncoder, PairEncoding, batch_encodings
 from repro.core.model import TabSketchFM
-from repro.nn import lazy
 from repro.nn.tensor import no_grad
 from repro.sketch.pipeline import SketchConfig, TableSketch, sketch_table
 from repro.table.schema import Table
@@ -212,18 +204,6 @@ class EmbeddingEngine:
     @property
     def dim(self) -> int:
         return self.model.config.dim
-
-    @property
-    def fusion_stats(self) -> dict:
-        """Lazy-engine fusion counters as plain ints.
-
-        ``kernels_executed`` / ``cache_hits`` / ``cache_misses`` /
-        ``fused_softmax`` / ``fused_layernorm`` / ``ops_fused`` plus the
-        current cache size and whether lazy mode is enabled — the
-        process-wide view from :func:`repro.nn.lazy.cache_info` (fusion is
-        per-process, not per-engine).
-        """
-        return lazy.cache_info()
 
     # ------------------------------------------------------------------ #
     # Process-pool lifecycle

@@ -6,8 +6,6 @@ import pytest
 
 from repro.core.engine import EmbeddingEngine, sketch_corpus
 from repro.core.inputs import batch_encodings
-from repro.nn import lazy
-from repro.nn.lazy import lazy_mode
 from repro.nn.tensor import no_grad
 from repro.sketch import sketch_table
 from repro.table.schema import table_from_rows
@@ -63,56 +61,21 @@ def test_wide_table_exceeds_budget(tiny_encoder, ragged_sketches):
     assert tiny_encoder.encode_table(wide).length > tiny_encoder.config.max_seq_len
 
 
-@pytest.mark.parametrize("lazy_enabled", [False, True], ids=["eager", "lazy"])
 @pytest.mark.parametrize("batch_size", [1, 2, 7])
 def test_batched_matches_sequential(
-    tiny_model, tiny_encoder, ragged_sketches, batch_size, lazy_enabled
+    tiny_model, tiny_encoder, ragged_sketches, batch_size
 ):
-    """The batched engine matches the sequential reference path in both
-    evaluation modes; the reference itself always runs eager (the oracle)."""
+    """The batched engine matches the sequential fixed-width reference."""
     engine = EmbeddingEngine(tiny_model, tiny_encoder, batch_size=batch_size)
-    with lazy_mode(lazy_enabled):
-        results = engine.embed_corpus(ragged_sketches)
+    results = engine.embed_corpus(ragged_sketches)
     assert len(results) == len(ragged_sketches)
     for sketch, result in zip(ragged_sketches, results):
-        with lazy_mode(False):
-            table_ref, columns_ref = _reference_embeddings(
-                tiny_model, tiny_encoder, sketch
-            )
+        table_ref, columns_ref = _reference_embeddings(
+            tiny_model, tiny_encoder, sketch
+        )
         assert np.allclose(result.table, table_ref, atol=ATOL)
         assert result.columns.shape == (sketch.n_cols, engine.dim)
         assert np.allclose(result.columns, columns_ref, atol=ATOL)
-
-
-@pytest.mark.parametrize("reduce_powers", [False, True], ids=["strict", "reduced"])
-def test_lazy_trunk_matches_eager(
-    tiny_model, tiny_encoder, ragged_sketches, reduce_powers
-):
-    """Full-trunk lazy-vs-eager equivalence across ragged batches, masked
-    attention, and the over-budget fallback (the wide table).
-
-    With integer-power strength reduction disabled the fused kernels run
-    the exact eager ufunc sequence, so embeddings are bitwise identical.
-    With it enabled (the default) the GELU ``x**3`` runs as repeated
-    multiplies — a <= 2 ulp deviation from ``np.power``, asserted here at
-    1e-10 absolute (observed ~1e-15)."""
-    engine = EmbeddingEngine(tiny_model, tiny_encoder, batch_size=3)
-    with lazy_mode(False):
-        eager = engine.embed_corpus(ragged_sketches)
-    previous = lazy.strength_reduce
-    lazy.strength_reduce = reduce_powers
-    try:
-        with lazy_mode(True):
-            fused = engine.embed_corpus(ragged_sketches)
-    finally:
-        lazy.strength_reduce = previous
-    for a, b in zip(eager, fused):
-        if reduce_powers:
-            assert np.allclose(b.table, a.table, atol=1e-10, rtol=0)
-            assert np.allclose(b.columns, a.columns, atol=1e-10, rtol=0)
-        else:
-            assert np.array_equal(b.table, a.table)
-            assert np.array_equal(b.columns, a.columns)
 
 
 def test_unbucketed_matches_bucketed(tiny_model, tiny_encoder, ragged_sketches):
@@ -226,25 +189,16 @@ def test_sketch_corpus_parallel_matches_sequential(
             )
 
 
-@pytest.mark.parametrize("lazy_enabled", [False, True], ids=["eager", "lazy"])
 def test_embed_corpus_parallel_workers_bitwise_identical(
-    tiny_model, tiny_encoder, ragged_sketches, lazy_enabled
+    tiny_model, tiny_encoder, ragged_sketches
 ):
     """Fanning batch forwards across threads must change nothing: same
     embeddings to the bit, same deterministic forward count (the counter
-    is lock-guarded against racing increments). The lazy leg additionally
-    races worker threads through the shared fused-kernel cache.
-
-    ``lazy_mode`` is a per-thread override, so the workers themselves
-    follow the process-wide flag — set it globally for the lazy leg."""
+    is lock-guarded against racing increments)."""
     engine = EmbeddingEngine(tiny_model, tiny_encoder)
-    lazy.set_lazy_enabled(lazy_enabled)
-    try:
-        sequential = engine.embed_corpus(ragged_sketches, batch_size=2)
-        calls_before = engine.forward_calls
-        parallel = engine.embed_corpus(ragged_sketches, batch_size=2, workers=4)
-    finally:
-        lazy.set_lazy_enabled(None)
+    sequential = engine.embed_corpus(ragged_sketches, batch_size=2)
+    calls_before = engine.forward_calls
+    parallel = engine.embed_corpus(ragged_sketches, batch_size=2, workers=4)
     assert engine.forward_calls - calls_before == -(-len(ragged_sketches) // 2)
     for a, b in zip(parallel, sequential):
         assert np.array_equal(a.table, b.table)
@@ -290,8 +244,8 @@ def test_inference_paths_run_under_no_grad(
 
 
 def test_eval_dropout_is_true_identity():
-    """Eval-mode (or p=0) dropout must return the *same* tensor — no copy,
-    no graph node, and no break in a recorded lazy chain."""
+    """Eval-mode (or p=0) dropout must return the *same* tensor — no copy
+    and no graph node."""
     from repro.nn.layers import Dropout
     from repro.nn.tensor import Tensor
 
@@ -303,8 +257,3 @@ def test_eval_dropout_is_true_identity():
     zero_p = Dropout(0.0)  # identity even in training mode
     y = Tensor(np.ones(5))
     assert zero_p(y) is y
-
-    with no_grad(), lazy_mode(True):
-        chain = Tensor(np.ones(4)) * 2.0
-        assert layer(chain) is chain
-        assert not chain.is_realized  # the pending chain survived intact

@@ -88,6 +88,19 @@ def test_elementwise_nonlinearities():
     gradcheck(lambda x: x.exp().sum(), x0, tol=1e-6)
 
 
+def test_gelu_bitwise_same_with_and_without_grad():
+    """Training and inference run one GELU: the values under ``no_grad``
+    equal the graph-recording values to the bit. 100k draws at scale 3
+    are enough to expose a single-ulp difference in the cube."""
+    x0 = np.random.default_rng(7).normal(scale=3.0, size=(100, 1000))
+    with_grad = Tensor(x0, requires_grad=True).gelu()
+    assert with_grad._parents  # the graph was recorded
+    with no_grad():
+        inference = Tensor(x0, requires_grad=True).gelu()
+    assert inference._parents == ()
+    assert np.array_equal(with_grad.numpy(), inference.numpy())
+
+
 def test_relu_gradient_away_from_kink():
     x0 = RNG.normal(size=(4, 4))
     x0[np.abs(x0) < 0.1] += 0.5  # avoid the non-differentiable point
