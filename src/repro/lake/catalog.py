@@ -391,23 +391,28 @@ class LakeCatalog:
         if ingest_procs is None:
             ingest_procs = default_ingest_procs()
         with obs.span("lake.ingest", tables=len(ordered)) as ingest:
-            sketches = sketch_corpus(
-                ordered,
-                self.sketch_config,
-                self._hasher,
-                workers=sketch_workers if sketch_workers is not None else workers,
-            )
-            embeddings = self._embed_sketches(
-                sketches,
-                batch_size=batch_size,
-                workers=workers,
-                process_workers=ingest_procs,
-            )
+            with obs.span("ingest.sketch"):
+                sketches = sketch_corpus(
+                    ordered,
+                    self.sketch_config,
+                    self._hasher,
+                    workers=(
+                        sketch_workers if sketch_workers is not None else workers
+                    ),
+                )
+            with obs.span("ingest.embed"):
+                embeddings = self._embed_sketches(
+                    sketches,
+                    batch_size=batch_size,
+                    workers=workers,
+                    process_workers=ingest_procs,
+                )
             records = []
-            for table, sketch, embedding in zip(ordered, sketches, embeddings):
-                record = self._build_record(table, sketch, embedding)
-                self._register(record, persist=False)
-                records.append(record)
+            with obs.span("ingest.index"):
+                for table, sketch, embedding in zip(ordered, sketches, embeddings):
+                    record = self._build_record(table, sketch, embedding)
+                    self._register(record, persist=False)
+                    records.append(record)
             if self.store is not None:
                 self.store.save_tables(records, workers=workers)
                 self._persist_index(workers=workers)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.utils.hashing import hash_string
+from repro.utils.hashing import hash_strings
 from repro.utils.rng import spawn_rng
 
 #: Default signature length; matches datasketch's default of 128.
@@ -27,6 +27,9 @@ DEFAULT_NUM_PERM = 128
 _EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _U64_SCALE = float(2**64)
+
+#: Hashes per ``(k, n)`` matrix in :meth:`MinHasher.sketch_many`.
+_BATCH_ITEMS = 4096
 
 
 @dataclass(frozen=True)
@@ -86,15 +89,41 @@ class MinHasher:
     def sketch(self, items: Iterable[str]) -> MinHash:
         """MinHash signature of the *set* of items (duplicates are ignored)."""
         unique = set(items)
-        if not unique:
-            return MinHash(np.full(self.num_perm, _EMPTY_SLOT, dtype=np.uint64))
-        raw = np.fromiter(
-            (hash_string(x) for x in unique), dtype=np.uint64, count=len(unique)
+        return self.sketch_many(hash_strings(unique), [len(unique)])[0]
+
+    def sketch_many(self, raw: np.ndarray, sizes: Sequence[int]) -> list[MinHash]:
+        """Signatures of several sets from their items' FNV-1a hashes.
+
+        ``raw`` is the concatenation of each set's item hashes (as
+        :func:`repro.utils.hashing.hash_strings` returns them), ``sizes[i]``
+        of them for set ``i``; repeats within a set cannot change a min.
+        All sets share each numpy pass: slotwise minima of a set are one
+        segment of a ``minimum.reduceat`` over the whole ``(k, n)`` hash
+        matrix. The matrix is built ``_BATCH_ITEMS`` hashes at a time (or
+        one whole set, if larger), so memory stays bounded. This is how the
+        table pipeline sketches every set of a table at once.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        signatures = np.full(
+            (sizes.size, self.num_perm), _EMPTY_SLOT, dtype=np.uint64
         )
-        with np.errstate(over="ignore"):
+        first = 0
+        while first < sizes.size:
+            # Sets [first, last): as many as fit the batch, at least one.
+            budget = starts[first] + _BATCH_ITEMS
+            last = max(first + 1, int(np.searchsorted(ends, budget, side="right")))
+            lo, hi = starts[first], ends[last - 1]
             # (k, n) = a[:,None] * raw[None,:] + b[:,None], wrapping mod 2^64.
-            hashed = self._a[:, None] * raw[None, :] + self._b[:, None]
-        return MinHash(hashed.min(axis=1))
+            hashed = self._a[:, None] * raw[None, lo:hi] + self._b[:, None]
+            filled = first + np.flatnonzero(sizes[first:last])
+            if filled.size:
+                signatures[filled] = np.minimum.reduceat(
+                    hashed, starts[filled] - lo, axis=1
+                ).T
+            first = last
+        return [MinHash(signature) for signature in signatures]
 
     def sketch_tokens(self, text_values: Iterable[str]) -> MinHash:
         """Signature over the set of whitespace tokens across all values.
@@ -103,10 +132,15 @@ class MinHasher:
         columns, we also compute a MinHash signature for set of words within
         the column" (§III-A).
         """
-        words: set[str] = set()
-        for value in text_values:
-            words.update(value.split())
-        return self.sketch(words)
+        return self.sketch(words_of(text_values))
+
+
+def words_of(text_values: Iterable[str]) -> set[str]:
+    """The set of whitespace tokens across ``text_values``."""
+    words: set[str] = set()
+    for value in text_values:
+        words.update(value.split())
+    return words
 
 
 def slot_features(sketch: MinHash) -> np.ndarray:

@@ -41,12 +41,15 @@ import numpy as np
 
 from repro.table.infer import numeric_view
 from repro.table.schema import Column, ColumnType
-from repro.utils.hashing import hash_string
+from repro.utils.hashing import hash_strings
 
 #: unique + nan + width + 9 percentiles + mean + std + min + max
 NUMERICAL_SKETCH_DIM = 16
 
 _PERCENTILES = tuple(range(10, 100, 10))
+
+#: ``_PERCENTILES`` as fractions, divided exactly as ``np.percentile`` does.
+_QUANTILES = np.true_divide(np.asarray(_PERCENTILES), 100)
 
 #: Numeric stats are squashed by ``arcsinh`` then scaled by this constant so
 #: typical magnitudes (counts, money, timestamps ~1e9) land in roughly [-1,1];
@@ -81,6 +84,30 @@ def _mix64(hashes: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ColumnCells:
+    """One pass over a column's cells: what every sketch of it reads.
+
+    ``distinct`` holds the distinct non-null cells in first-seen order and
+    ``hashes`` their FNV-1a hashes, aligned. The values MinHash, the KMV
+    distinct set and ``n_values`` all read these, so no cell is null-checked
+    or hashed twice. :func:`repro.sketch.pipeline.sketch_table` builds them
+    with one hashing call for the whole table; :meth:`of` hashes one column
+    on its own.
+    """
+
+    n_rows: int
+    non_null: list[str]
+    distinct: list[str]
+    hashes: np.ndarray  # uint64, aligned with ``distinct``
+
+    @classmethod
+    def of(cls, column: Column) -> "ColumnCells":
+        non_null = column.non_null_values()
+        distinct = list(dict.fromkeys(non_null))
+        return cls(column.n_rows, non_null, distinct, hash_strings(distinct))
+
+
+@dataclass(frozen=True)
 class NumericalSketch:
     """The raw statistics plus the normalized model-input vector."""
 
@@ -112,6 +139,32 @@ class NumericalSketch:
             squash(self.max_value),
         ]
         return np.asarray(vector, dtype=np.float64)
+
+
+def _percentiles(ordered: np.ndarray) -> tuple[float, ...]:
+    """``np.percentile(ordered, _PERCENTILES)`` of a sorted, non-empty array.
+
+    Bit for bit numpy's default (linear) method, without its per-call
+    overhead, which is several times the arithmetic on a column-sized
+    array: virtual index ``(n - 1) * q``; neighbours at its floor and the
+    next index, both the last value once the index reaches it (numpy then
+    measures the weight from index -1); numpy's two-sided lerp.
+    """
+    n = ordered.size
+    virtual = (n - 1) * _QUANTILES
+    previous = np.floor(virtual)
+    following = previous + 1
+    at_end = virtual >= n - 1
+    previous[at_end] = -1
+    following[at_end] = -1
+    previous = previous.astype(np.intp)
+    gamma = virtual - previous
+    low = ordered[previous]
+    high = ordered[following.astype(np.intp)]
+    diff = high - low
+    result = low + diff * gamma
+    np.subtract(high, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    return tuple(result.tolist())
 
 
 def _equi_depth(points: np.ndarray, weights: np.ndarray, cap: int) -> np.ndarray:
@@ -248,9 +301,7 @@ class NumericAccumulator:
             avg_width = self.width_sum / self.n_nonnull
 
         if self.n_numeric:
-            percentiles = tuple(
-                float(p) for p in np.percentile(self.sample, _PERCENTILES)
-            )
+            percentiles = _percentiles(self.sample)
             if self.sample_exact:
                 mean = float(np.mean(self.sample))
                 std = float(np.std(self.sample))
@@ -276,27 +327,32 @@ class NumericAccumulator:
 
 
 def numerical_profile(
-    column: Column, ctype: "ColumnType | None" = None
+    column: Column,
+    ctype: "ColumnType | None" = None,
+    cells: ColumnCells | None = None,
 ) -> tuple[NumericalSketch, NumericAccumulator]:
     """Sketch *and* accumulator for one column — the single cold path.
 
     The sketch is always computed from the full data (never from the
     compressed sample), so cold sketches stay exact regardless of the caps.
     ``ctype`` overrides type inference; appends use it to freeze a delta
-    column to the type the stored column was ingested with.
+    column to the type the stored column was ingested with. ``cells`` is
+    the column's one-pass view when the caller already built it (the table
+    pipeline does, with table-batched hashes); otherwise it is built here.
     """
-    n_rows = column.n_rows
-    non_null = column.non_null_values()
+    if cells is None:
+        cells = ColumnCells.of(column)
+    n_rows = cells.n_rows
+    non_null = cells.non_null
     n_nonnull = len(non_null)
     nan_fraction = 1.0 - (n_nonnull / n_rows) if n_rows else 0.0
-    distinct_values = set(non_null)
-    n_distinct = len(distinct_values)
+    n_distinct = len(cells.distinct)
     unique_fraction = (n_distinct / n_rows) if n_rows else 0.0
 
     if ctype is None:
         ctype = column.inferred_type
     if ctype.is_numeric:
-        numbers = np.asarray(numeric_view(column.values, ctype), dtype=np.float64)
+        numbers = np.asarray(numeric_view(non_null, ctype), dtype=np.float64)
         # Order-canonical: every derived statistic (and the stored sample)
         # is a function of the multiset, so merge-vs-rebuild can be bitwise.
         numbers.sort()
@@ -304,17 +360,17 @@ def numerical_profile(
         avg_width = 0.0
     else:
         numbers = np.asarray([], dtype=np.float64)
-        widths = [len(v.encode("utf-8")) for v in non_null]
-        width_sum = int(sum(widths))
-        avg_width = float(np.mean(widths)) if widths else 0.0
+        width_sum = sum(len(v.encode("utf-8")) for v in non_null)
+        # The widths are integers, so this equals their float mean exactly.
+        avg_width = width_sum / n_nonnull if n_nonnull else 0.0
 
     if numbers.size:
-        percentiles = tuple(float(p) for p in np.percentile(numbers, _PERCENTILES))
-        mean = float(np.mean(numbers))
+        percentiles = _percentiles(numbers)
+        total = float(np.sum(numbers))
+        mean = total / numbers.size  # np.mean's own sum and division
         std = float(np.std(numbers))
         min_value = float(numbers[0])
         max_value = float(numbers[-1])
-        total = float(np.sum(numbers))
         total_sq = float(np.sum(numbers * numbers))
     else:
         percentiles = tuple(0.0 for _ in _PERCENTILES)
@@ -341,13 +397,7 @@ def numerical_profile(
         )
         sample_exact = False
 
-    hashes = _mix64(
-        np.fromiter(
-            (hash_string(v) for v in distinct_values),
-            dtype=np.uint64,
-            count=n_distinct,
-        )
-    )
+    hashes = _mix64(cells.hashes)
     hashes.sort()
     if n_distinct <= DISTINCT_CAP:
         distinct = hashes

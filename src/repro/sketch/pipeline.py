@@ -11,22 +11,38 @@ For every table we produce a :class:`TableSketch`:
 
 The model input layer consumes the *normalized* forms: MinHash signatures
 scaled to [0, 1] and the normalized numerical-statistics vector.
+
+A table is sketched in one pass: each column's non-null cells, distinct
+values and their hashes are computed once (:class:`ColumnCells`) and read by
+every sketch of the column, and every string the table needs (distinct
+values, words of string columns, snapshot rows) is hashed in a single
+vectorised :func:`~repro.utils.hashing.hash_strings` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from repro.sketch.content import CONTENT_SNAPSHOT_ROWS, content_snapshot
-from repro.sketch.minhash import DEFAULT_NUM_PERM, MinHash, MinHasher
+# ``content_snapshot`` stays importable from here for code that wraps the
+# pipeline's stages by name (perfbench's per-layer tracer); the pipeline
+# itself hashes the snapshot rows in the table's one hashing pass.
+from repro.sketch.content import (  # noqa: F401
+    CONTENT_SNAPSHOT_ROWS,
+    content_snapshot,
+    row_strings,
+)
+from repro.sketch.minhash import DEFAULT_NUM_PERM, MinHash, MinHasher, words_of
 from repro.sketch.numeric import (
+    ColumnCells,
     NumericAccumulator,
     NumericalSketch,
     numerical_profile,
 )
 from repro.table.schema import Column, ColumnType, Table
+from repro.utils.hashing import hash_strings
 
 
 @dataclass(frozen=True)
@@ -171,24 +187,40 @@ class TableSketch:
         )
 
 
-def sketch_column(column: Column, hasher: MinHasher) -> ColumnSketch:
-    """Sketch one column: values MinHash, words MinHash, numerical sketch."""
-    non_null = column.non_null_values()
-    values_mh = hasher.sketch(non_null)
-    if column.inferred_type == ColumnType.STRING:
-        words_mh = hasher.sketch_tokens(non_null)
-    else:
-        words_mh = hasher.sketch(())
-    numeric, acc = numerical_profile(column)
+def _column_sketch(
+    column: Column,
+    ctype: ColumnType,
+    cells: ColumnCells,
+    values_minhash: MinHash,
+    words_minhash: MinHash,
+) -> ColumnSketch:
+    numeric, acc = numerical_profile(column, ctype, cells)
     return ColumnSketch(
         name=column.name,
-        ctype=column.inferred_type,
-        values_minhash=values_mh,
-        words_minhash=words_mh,
+        ctype=ctype,
+        values_minhash=values_minhash,
+        words_minhash=words_minhash,
         numeric=numeric,
-        n_values=len(set(non_null)),
+        n_values=len(cells.distinct),
         numeric_acc=acc,
     )
+
+
+def _words(distinct: list[str], ctype: ColumnType) -> list[str]:
+    """The words MinHash's set: tokens of string columns, none otherwise."""
+    return list(words_of(distinct)) if ctype == ColumnType.STRING else []
+
+
+def sketch_column(column: Column, hasher: MinHasher) -> ColumnSketch:
+    """Sketch one column: values MinHash, words MinHash, numerical sketch."""
+    ctype = column.inferred_type
+    cells = ColumnCells.of(column)
+    words = _words(cells.distinct, ctype)
+    values_mh, words_mh = hasher.sketch_many(
+        np.concatenate([cells.hashes, hash_strings(words)]),
+        [len(cells.distinct), len(words)],
+    )
+    return _column_sketch(column, ctype, cells, values_mh, words_mh)
 
 
 def sketch_table(
@@ -205,10 +237,33 @@ def sketch_table(
     hasher = hasher or config.build_hasher()
     if hasher.num_perm != config.num_perm:
         raise ValueError("hasher num_perm does not match config.num_perm")
+    columns = table.columns
+    ctypes = [column.inferred_type for column in columns]
+    non_null = [column.non_null_values() for column in columns]
+    distinct = [list(dict.fromkeys(values)) for values in non_null]
+    words = [_words(values, ctype) for values, ctype in zip(distinct, ctypes)]
+    rows = row_strings(table, limit=config.snapshot_rows)
+    # One hashing pass and one MinHash pass over every set the table needs.
+    sets = [*distinct, *words, rows]
+    sizes = [len(items) for items in sets]
+    hashes = hash_strings(chain.from_iterable(sets))
+    minhashes = hasher.sketch_many(hashes, sizes)
+    split = np.split(hashes, np.cumsum(sizes)[:-1])
+    n = len(columns)
+    column_sketches = [
+        _column_sketch(
+            column,
+            ctype,
+            ColumnCells(column.n_rows, non_null[i], distinct[i], split[i]),
+            minhashes[i],
+            minhashes[n + i],
+        )
+        for i, (column, ctype) in enumerate(zip(columns, ctypes))
+    ]
     return TableSketch(
         table_name=table.name,
         description=table.description,
-        column_sketches=[sketch_column(c, hasher) for c in table.columns],
-        snapshot=content_snapshot(table, hasher, limit=config.snapshot_rows),
+        column_sketches=column_sketches,
+        snapshot=minhashes[-1],
         config=config,
     )

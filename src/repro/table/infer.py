@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
+from itertools import islice
 
 from repro.table.schema import ColumnType, is_null
 
@@ -30,7 +31,47 @@ _DATE_FORMATS = (
     "%Y-%m-%dT%H:%M:%S",
     "%d %b %Y",
     "%b %d, %Y",
-    "%Y",
+)
+
+#: What each directive of ``_DATE_FORMATS`` can match, loosened so that
+#: every string ``strptime`` accepts for the format also matches the shape:
+#: ``%d`` also takes strptime's space-padded day, ``%b`` any run of
+#: non-space characters (month names depend on the locale), and whitespace
+#: in a format matches any run of whitespace, as in ``strptime``. Matching
+#: is case-insensitive, as ``strptime``'s is. No two adjacent pieces can
+#: both match whitespace at length, so a long cell is rejected in linear
+#: time (``.+?`` for ``%b`` took seconds on a cell with a 5k-space run).
+_DIRECTIVE_SHAPES = {
+    "%Y": r"\d{4}",
+    "%y": r"\d{2}",
+    "%m": r"\d{1,2}",
+    "%d": r"\s?\d{1,2}",
+    "%H": r"\d{1,2}",
+    "%M": r"\d{1,2}",
+    "%S": r"\d{1,2}",
+    "%b": r"\S+",
+}
+
+
+def _format_shape(fmt: str) -> str:
+    shape = []
+    for piece in re.split(r"(%[a-zA-Z]|\s+)", fmt):
+        if piece.startswith("%"):
+            # KeyError at import: a new directive needs its shape first.
+            shape.append(_DIRECTIVE_SHAPES[piece])
+        elif piece.isspace():
+            shape.append(r"\s+")
+        else:
+            shape.append(re.escape(piece))
+    return "".join(shape)
+
+
+#: A cheap superset of the strings some ``_DATE_FORMATS`` entry parses: a
+#: cell that does not match it cannot be a date, so it never reaches the
+#: (slow, exception-driven) ``strptime`` loop.
+_DATE_SHAPE = re.compile(
+    "|".join(f"(?:{_format_shape(fmt)})" for fmt in _DATE_FORMATS),
+    re.IGNORECASE,
 )
 
 
@@ -48,6 +89,8 @@ def parse_date(cell: str) -> float | None:
         year = int(text)
         if 1500 <= year <= 2200 and len(text) == 4:
             return _dt.datetime(year, 1, 1, tzinfo=_dt.timezone.utc).timestamp()
+        return None
+    if not _DATE_SHAPE.fullmatch(text):
         return None
     for fmt in _DATE_FORMATS:
         try:
@@ -76,7 +119,9 @@ def infer_column_type(values: list[str]) -> ColumnType:
     defaulting to string. A sample is typed as a class only when *every*
     sampled non-null value parses as that class.
     """
-    sample = [v for v in values if not is_null(v)][:TYPE_INFERENCE_SAMPLE]
+    sample = list(
+        islice((v for v in values if not is_null(v)), TYPE_INFERENCE_SAMPLE)
+    )
     if not sample:
         return ColumnType.STRING
 
@@ -103,20 +148,13 @@ def numeric_view(values: list[str], ctype: ColumnType) -> list[float]:
 
     Date cells become POSIX timestamps ("when possible, we convert date
     columns to timestamps and treat them as numeric columns", §III-A);
-    unparseable cells are dropped.
+    unparseable cells are dropped. No null marker parses as a number or a
+    date, so null cells are dropped with them.
     """
-    out: list[float] = []
-    for cell in values:
-        if is_null(cell):
-            continue
-        if ctype == ColumnType.DATE:
-            stamp = parse_date(cell)
-            if stamp is None:
-                stamp = to_float(cell)
-            if stamp is not None:
-                out.append(stamp)
-        else:
-            number = to_float(cell)
-            if number is not None:
-                out.append(number)
-    return out
+    parse = _timestamp if ctype == ColumnType.DATE else to_float
+    return [number for number in map(parse, values) if number is not None]
+
+
+def _timestamp(cell: str) -> float | None:
+    stamp = parse_date(cell)
+    return stamp if stamp is not None else to_float(cell)

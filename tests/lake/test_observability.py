@@ -8,12 +8,31 @@ import pytest
 
 from repro import obs
 from repro.lake.api import DiscoveryRequest
+from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
+from repro.lake.store import LakeStore
 
 
 @pytest.fixture()
 def service(cold_catalog) -> LakeService:
     return LakeService(cold_catalog)
+
+
+# --------------------------------------------------------------------- #
+# Ingest span tree
+# --------------------------------------------------------------------- #
+def test_bulk_ingest_span_tree(tmp_path, lake_embedder, lake_tables):
+    catalog = LakeCatalog(lake_embedder, store=LakeStore(tmp_path, "fp"))
+    with obs.span("caller") as root:
+        catalog.add_tables(lake_tables)
+    (ingest,) = root.children
+    assert ingest.name == "lake.ingest"
+    names = [child.name for child in ingest.children]
+    assert names[:3] == ["ingest.sketch", "ingest.embed", "ingest.index"]
+    # Store writes that run on this thread attach after the stages.
+    assert set(names[3:]) <= {"store.flush", "store.flush_index"}
+    children_ms = sum(child.duration_ms for child in ingest.children)
+    assert 0.0 < children_ms <= ingest.duration_ms
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sketch import minhash as minhash_mod
 from repro.sketch.minhash import (
     MinHasher,
     estimate_containment,
@@ -11,6 +12,7 @@ from repro.sketch.minhash import (
     exact_containment,
     exact_jaccard,
 )
+from repro.utils.hashing import hash_string, hash_strings
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,36 @@ def test_sketch_tokens_splits_words():
     by_tokens = hasher.sketch_tokens(["main street", "oak street"])
     by_words = hasher.sketch(["main", "street", "oak"])
     assert np.array_equal(by_tokens.signature, by_words.signature)
+
+
+def _reference_signature(hasher, items):
+    """Slotwise min of ``(a * fnv(x) + b) mod 2^64`` in plain integers."""
+    if not items:
+        return [2**64 - 1] * hasher.num_perm
+    return [
+        min((int(a) * hash_string(x) + int(b)) % 2**64 for x in items)
+        for a, b in zip(hasher._a, hasher._b)
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    sets=st.lists(st.lists(st.text(max_size=6), max_size=8), max_size=6),
+    batch_items=st.sampled_from([1, 3, 4096]),
+)
+def test_sketch_many_equals_each_set_sketched_alone(sets, batch_items):
+    hasher = MinHasher(num_perm=8, seed=5)
+    raw = hash_strings([item for items in sets for item in items])
+    old = minhash_mod._BATCH_ITEMS
+    minhash_mod._BATCH_ITEMS = batch_items  # several (k, n) matrices per call
+    try:
+        many = hasher.sketch_many(raw, [len(items) for items in sets])
+    finally:
+        minhash_mod._BATCH_ITEMS = old
+    assert len(many) == len(sets)
+    for items, sketch in zip(sets, many):
+        assert sketch.signature.tolist() == _reference_signature(hasher, items)
+        assert np.array_equal(sketch.signature, hasher.sketch(items).signature)
 
 
 def test_rejects_zero_perm():

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sketch.numeric import NUMERICAL_SKETCH_DIM, numerical_sketch
+from repro.sketch.numeric import (
+    _PERCENTILES,
+    NUMERICAL_SKETCH_DIM,
+    _percentiles,
+    numerical_sketch,
+)
 from repro.table.schema import Column, ColumnType
 
 
@@ -90,3 +95,34 @@ def test_shifted_distributions_are_distinguishable():
     small = numerical_sketch(Column("x", [str(v) for v in range(10, 20)]))
     big = numerical_sketch(Column("x", [str(v * 1000) for v in range(10, 20)]))
     assert not np.allclose(small.to_vector(), big.to_vector(), atol=1e-3)
+
+
+_samples = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False),
+        st.integers(-5, 5).map(float),
+        st.sampled_from([1e300, -1e300, 5e-324]),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@settings(deadline=None)
+@given(_samples)
+def test_percentiles_bitwise_equal_numpy(values):
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = np.percentile(ordered, _PERCENTILES)
+        got = np.asarray(_percentiles(ordered))
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None)
+@given(_samples)
+def test_mean_from_total_bitwise_equal_numpy_mean(values):
+    numbers = np.sort(np.asarray(values, dtype=np.float64))
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = np.mean(numbers)
+        got = np.float64(float(np.sum(numbers)) / numbers.size)
+    assert got.tobytes() == expected.tobytes()

@@ -71,3 +71,26 @@ def test_overlapping_columns_have_similar_sketches(tiny_sketch_config):
     sim_ab = a.values_minhash.jaccard(b.values_minhash)
     sim_ac = a.values_minhash.jaccard(c.values_minhash)
     assert sim_ab > sim_ac
+
+
+def test_sketch_column_equals_the_table_pipeline(
+    city_table, product_table, tiny_sketch_config
+):
+    """A column sketched alone matches its sketch from the table's batch."""
+    hasher = tiny_sketch_config.build_hasher()
+    for table in (city_table, product_table):
+        sketch = sketch_table(table, tiny_sketch_config, hasher)
+        for column, batched in zip(table.columns, sketch.column_sketches):
+            alone = sketch_column(column, hasher)
+            assert alone.ctype == batched.ctype
+            assert alone.n_values == batched.n_values
+            assert alone.numeric == batched.numeric
+            for kind in ("values_minhash", "words_minhash"):
+                assert np.array_equal(
+                    getattr(alone, kind).signature, getattr(batched, kind).signature
+                )
+            for state in ("distinct", "sample"):
+                assert np.array_equal(
+                    getattr(alone.numeric_acc, state),
+                    getattr(batched.numeric_acc, state),
+                )

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from repro.utils import hashing
 from repro.utils.hashing import combine_hashes, hash_bytes, hash_string, hash_strings
 
 
@@ -24,6 +25,38 @@ def test_hash_strings_batch_matches_scalar():
     batch = hash_strings(texts)
     assert batch.dtype == np.uint64
     assert [int(h) for h in batch] == [hash_string(t) for t in texts]
+
+
+#: Texts that stress the vectorised pass: empty strings, ASCII, multi-byte
+#: and astral characters, NUL bytes, and lengths from 0 to well past the
+#: others in the same batch.
+_mixed_texts = st.one_of(
+    st.text(max_size=3),
+    st.text(alphabet="a\x00é東\U0001f600 ", max_size=40),
+    st.text(max_size=200),
+)
+
+
+@given(
+    texts=st.lists(_mixed_texts, max_size=40),
+    block_bytes=st.sampled_from([1, 7, 64, 1 << 24]),
+)
+def test_hash_strings_equals_scalar_hash_string(texts, block_bytes):
+    old = hashing._BLOCK_BYTES
+    hashing._BLOCK_BYTES = block_bytes  # small blocks: many per call
+    try:
+        batch = hash_strings(texts)
+    finally:
+        hashing._BLOCK_BYTES = old
+    assert batch.dtype == np.uint64
+    assert batch.shape == (len(texts),)
+    assert [int(h) for h in batch] == [hash_string(t) for t in texts]
+
+
+def test_hash_strings_of_nothing_and_of_empty_strings():
+    assert hash_strings([]).shape == (0,)
+    assert hash_strings(iter(())).shape == (0,)
+    assert [int(h) for h in hash_strings(["", ""])] == [hash_bytes(b"")] * 2
 
 
 @given(st.text(max_size=50))
